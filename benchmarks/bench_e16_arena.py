@@ -16,16 +16,10 @@ those arrays.  This experiment holds the rewrite to its two claims:
   on both sides).
 
 * **Differential matrix**: across every factory regime and query, the
-  arena configurations (``arena``, ``arena+shared``,
-  ``arena+shared+shard4``) must reproduce the naive oracle's rows and
-  the plain shared configuration's invocation log call site by call
-  site — the arena is an access structure, never a semantics change.
-
-* **Shard determinism**: the sharded group pass must return the same
-  composed rows for every shard count and for threaded vs serial
-  dispatch, with stand-down (``shard_passes == 0``) on ineligible
-  passes — the merge is deterministic in shard index order, never in
-  thread completion order.
+  arena configurations (``arena``, ``arena+shared``) must reproduce
+  the naive oracle's rows and the plain shared configuration's
+  invocation log call site by call site — the arena is an access
+  structure, never a semantics change.
 
 Tables land in ``BENCH_e16.json``; headline assertions are re-checked
 against the emitted file so a broken emitter fails the bench.
@@ -44,8 +38,6 @@ from repro.lazy.config import Strategy
 from repro.pattern.match import MatchSet
 from repro.pattern.multimatch import PatternGroup
 from repro.pattern.parse import parse_pattern
-from repro.pattern.shards import ShardedPatternGroup
-from repro.services.scheduler import SchedulerPolicy
 from repro.workloads.factory import REGIMES, regime
 
 E16_N = int(os.environ.get("E16_N", "1000000"))
@@ -238,12 +230,6 @@ ARENA_CONFIGS = {
     "arena+shared": dict(
         strategy=Strategy.LAZY_NFQ, arena=True, shared_matching=True
     ),
-    "arena+shared+shard4": dict(
-        strategy=Strategy.LAZY_NFQ,
-        arena=True,
-        shared_matching=True,
-        shards=4,
-    ),
 }
 
 
@@ -258,7 +244,6 @@ def matrix_sweep():
     for name in REGIMES:
         gen = matrix_workload(name)
         total_rows = 0
-        shard_passes = 0
         arena_nodes = 0
         started = time.perf_counter()
         for qi in range(gen.spec.n_queries):
@@ -274,7 +259,6 @@ def matrix_sweep():
                 out, log = gen.evaluate(query, doc, **kwargs)
                 assert out.value_rows() == reference, (name, qi, label)
                 assert log == base_log, (name, qi, label)
-                shard_passes += out.metrics.shard_passes
                 arena_nodes = max(arena_nodes, out.metrics.arena_nodes)
         elapsed_ms = (time.perf_counter() - started) * 1000
         rows.append(
@@ -284,7 +268,6 @@ def matrix_sweep():
                 len(ARENA_CONFIGS) + 2,  # + shared baseline + naive oracle
                 total_rows,
                 arena_nodes,
-                shard_passes,
                 round(elapsed_ms, 1),
             )
         )
@@ -303,7 +286,6 @@ def test_e16_differential_matrix(benchmark, capsys):
                 "configs",
                 "rows",
                 "arena_nodes",
-                "shard_passes",
                 "ms",
             ],
             rows,
@@ -313,10 +295,8 @@ def test_e16_differential_matrix(benchmark, capsys):
             ),
         )
     assert len(rows) >= 8, "the matrix must cover >= 8 named regimes"
-    # The arena must actually mirror documents in every regime...
+    # The arena must actually mirror documents in every regime.
     assert all(row[4] > 0 for row in rows), rows
-    # ...and the sharded pass must engage somewhere in the matrix.
-    assert sum(row[5] for row in rows) > 0, rows
     data = read_bench_json("e16")
     table = next(
         body
@@ -324,68 +304,3 @@ def test_e16_differential_matrix(benchmark, capsys):
         if title.startswith("E16: arena differential")
     )
     assert len(table["rows"]) >= 8
-
-
-# ---------------------------------------------------------------------------
-# Shard determinism: same rows for every shard count and dispatch mode
-# ---------------------------------------------------------------------------
-
-
-def shard_sweep():
-    gen = regime("large-document", min_nodes=min(E16_N, 50_000))
-    document = gen.make_document(0)
-    arena = document.arena
-    members = {
-        text: parse_pattern(text, name=f"e16-shard-{i}")
-        for i, text in enumerate(E16_QUERY_TEXTS)
-    }
-    serial = PatternGroup(members, arena=arena).evaluate(document)
-    reference = {
-        text: row_keys(serial.match_sets[text]) for text in members
-    }
-    rows = [("serial", 0, sum(len(k) for k in reference.values()), "yes")]
-    for shards, use_threads in (
-        (2, True),
-        (4, True),
-        (4, False),
-        (8, True),
-    ):
-        group = ShardedPatternGroup(
-            members,
-            shards=shards,
-            arena=arena,
-            scheduler=SchedulerPolicy(
-                max_concurrency=shards, use_threads=use_threads
-            ),
-        )
-        result = group.evaluate(document)
-        keys = {text: row_keys(result.match_sets[text]) for text in members}
-        assert keys == reference, (shards, use_threads)
-        rows.append(
-            (
-                f"shard{shards}" + ("+threads" if use_threads else "+serial"),
-                result.shard_passes,
-                result.merge_rows,
-                "yes",
-            )
-        )
-    return rows
-
-
-def test_e16_shard_determinism(benchmark, capsys):
-    rows = run_once(benchmark, shard_sweep)
-    with capsys.disabled():
-        print_table(
-            "E16: shard-parallel group passes — determinism across counts"
-            " and dispatch modes",
-            ["variant", "shard_passes", "rows", "agree"],
-            rows,
-            note=(
-                "composed rows identical to the serial pass for every "
-                "shard count, threaded or not"
-            ),
-        )
-    assert all(row[3] == "yes" for row in rows)
-    # The sharded variants must actually shard (the scale regime's root
-    # has plenty of depth-1 subtrees).
-    assert all(row[1] > 0 for row in rows[1:]), rows

@@ -16,16 +16,12 @@ holds the rewrite to its claims:
   object walk reported alongside.
 
 * **Differential matrix**: across every factory regime and query, the
-  column configurations (``arena+colmatch``, ``arena+shared+colmatch``,
-  ``arena+shared+shard4+colmatch``) must reproduce the naive oracle's
-  rows and the plain shared configuration's invocation log call site by
-  call site — the column plan is an access path, never a semantics
-  change.  Stand-downs (OR members, interior wildcards) surface as
-  ``column_fallbacks`` and are answered by the object walk.
-
-* **Shard determinism**: the sharded column pass must return the same
-  composed rows for every shard count and for threaded vs serial
-  dispatch, scoped passes included.
+  column configurations (``arena+colmatch``, ``arena+shared+colmatch``)
+  must reproduce the naive oracle's rows and the plain shared
+  configuration's invocation log call site by call site — the column
+  plan is an access path, never a semantics change.  Stand-downs (OR
+  members, interior wildcards) surface as ``column_fallbacks`` and are
+  answered by the object walk.
 
 Tables land in ``BENCH_e17.json`` (with the harness's ``peak_rss_kb``
 memory figure); headline assertions are re-checked against the emitted
@@ -44,8 +40,6 @@ from repro.lazy.config import Strategy
 from repro.pattern.match import MatchCounter, MatchSet
 from repro.pattern.multimatch import PatternGroup
 from repro.pattern.parse import parse_pattern
-from repro.pattern.shards import ShardedPatternGroup
-from repro.services.scheduler import SchedulerPolicy
 from repro.workloads.factory import REGIMES, regime
 
 E17_N = int(os.environ.get("E17_N", "1000000"))
@@ -187,13 +181,6 @@ COLUMN_CONFIGS = {
         shared_matching=True,
         column_match=True,
     ),
-    "arena+shared+shard4+colmatch": dict(
-        strategy=Strategy.LAZY_NFQ,
-        arena=True,
-        shared_matching=True,
-        shards=4,
-        column_match=True,
-    ),
 }
 
 
@@ -276,77 +263,3 @@ def test_e17_differential_matrix(benchmark, capsys):
         if title.startswith("E17: column-match differential")
     )
     assert len(table["rows"]) >= 8
-
-
-# ---------------------------------------------------------------------------
-# Shard determinism: column passes across shard counts and dispatch modes
-# ---------------------------------------------------------------------------
-
-
-def shard_sweep():
-    gen = regime("large-document", min_nodes=min(E17_N, 50_000))
-    document = gen.make_document(0)
-    arena = document.arena
-    members = {
-        text: parse_pattern(text, name=f"e17-shard-{i}")
-        for i, text in enumerate(E17_QUERY_TEXTS)
-    }
-    serial = PatternGroup(members, arena=arena).evaluate(document)
-    reference = {
-        text: row_keys(serial.match_sets[text]) for text in members
-    }
-    rows = [("serial-walk", 0, sum(len(k) for k in reference.values()), "yes")]
-    full = PatternGroup(members, arena=arena, column_match=True).evaluate(
-        document
-    )
-    keys = {text: row_keys(full.match_sets[text]) for text in members}
-    assert keys == reference, "unsharded column pass diverged"
-    rows.append(("colmatch", 0, sum(len(k) for k in keys.values()), "yes"))
-    for shards, use_threads in (
-        (2, True),
-        (4, True),
-        (4, False),
-        (8, True),
-    ):
-        group = ShardedPatternGroup(
-            members,
-            shards=shards,
-            arena=arena,
-            column_match=True,
-            scheduler=SchedulerPolicy(
-                max_concurrency=shards, use_threads=use_threads
-            ),
-        )
-        result = group.evaluate(document)
-        keys = {text: row_keys(result.match_sets[text]) for text in members}
-        assert keys == reference, (shards, use_threads)
-        rows.append(
-            (
-                f"colmatch+shard{shards}"
-                + ("+threads" if use_threads else "+serial"),
-                result.shard_passes,
-                result.merge_rows,
-                "yes",
-            )
-        )
-    return rows
-
-
-def test_e17_shard_determinism(benchmark, capsys):
-    rows = run_once(benchmark, shard_sweep)
-    with capsys.disabled():
-        print_table(
-            "E17: sharded column passes — determinism across counts and"
-            " dispatch modes",
-            ["variant", "shard_passes", "rows", "agree"],
-            rows,
-            note=(
-                "composed column rows identical to the serial object walk "
-                "for every shard count, threaded or not (scoped passes "
-                "take the column path per shard)"
-            ),
-        )
-    assert all(row[3] == "yes" for row in rows)
-    # The sharded variants must actually shard (the scale regime's root
-    # has plenty of depth-1 subtrees).
-    assert all(row[1] > 0 for row in rows[2:]), rows

@@ -123,8 +123,6 @@ def _forest_of(container: ET.Element) -> list[Node]:
 def _fault_policy_of(args: argparse.Namespace) -> FaultPolicy:
     if args.fault_policy is not None:
         return _FAULT_POLICIES[args.fault_policy]
-    if args.skip_faults:  # legacy flag: explicit lossy tolerance
-        return FaultPolicy.SKIP
     if args.tolerant:
         return FaultPolicy.default_non_raising()
     return FaultPolicy.RAISE
@@ -165,7 +163,6 @@ def _build_config(args: argparse.Namespace, trace=None) -> EngineConfig:
         shared_matching=getattr(args, "shared_matching", False),
         arena=getattr(args, "arena", False),
         column_match=getattr(args, "column_match", False),
-        shards=getattr(args, "shards", 1),
         maintain_answers=getattr(args, "maintain_answers", False),
         trace=trace,
     )
@@ -199,13 +196,6 @@ def _check_flag_combinations(args: argparse.Namespace) -> Optional[str]:
         return (
             "--column-match needs the arena columns to run on: "
             "pass --arena (or drop --column-match)"
-        )
-    if getattr(args, "shards", 1) > 1 and not getattr(
-        args, "shared_matching", False
-    ):
-        return (
-            "--shards only shards the shared group pass: "
-            "pass --shared-matching (or keep --shards 1)"
         )
     return None
 
@@ -486,11 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shorthand for the default non-raising policy (freeze)",
     )
     ev.add_argument(
-        "--skip-faults",
-        action="store_true",
-        help="legacy: delete faulted calls (lossy; prefer --fault-policy freeze)",
-    )
-    ev.add_argument(
         "--max-attempts",
         type=int,
         default=3,
@@ -584,15 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
         "columns, touching Node objects only for the final rows (needs "
         "--arena; --no-column-match restores the object walk, the "
         "differential oracle)",
-    )
-    ev.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard-parallel group passes: partition the root's depth-1 "
-        "subtrees into this many ranges and scan them concurrently, "
-        "merging answers deterministically (needs --shared-matching; "
-        "1 keeps the single full pass)",
     )
     ev.add_argument(
         "--maintain-answers",

@@ -50,10 +50,6 @@ class FaultPolicy(enum.Enum):
     """What to do when a service invocation fails.
 
     * ``RAISE`` — propagate the fault to the caller (the default);
-    * ``SKIP`` — legacy tolerance: *delete* the faulted call's subtree
-      and continue.  Lossy — a transient blip changes query answers —
-      and kept only for backward compatibility behind this explicit
-      policy;
     * ``FREEZE`` — mark the faulted call
       :attr:`~repro.axml.node.Activation.FROZEN` and continue: the
       document keeps the intensional call, answers degrade to "what the
@@ -65,7 +61,6 @@ class FaultPolicy(enum.Enum):
     """
 
     RAISE = "raise"
-    SKIP = "skip"
     FREEZE = "freeze"
     RETRY = "retry"
 
@@ -182,15 +177,6 @@ class EngineConfig:
     wildcards), where the object walk answers as before.  Never changes
     answers or invocation order; opt-in so the walk stays the
     differential oracle."""
-    shards: int = 1
-    """Shard-parallel group passes: partition the document root's
-    depth-1 subtrees into this many contiguous ranges and dispatch one
-    scoped group scan per range through the bus scheduler vocabulary,
-    composing the per-shard answers deterministically in shard index
-    order (``repro.pattern.shards``).  1 (the default) keeps the single
-    full pass; > 1 requires ``shared_matching`` to have a group pass to
-    shard, and stands down to one pass whenever the scoped-composition
-    law does not cover the member family."""
     maintain_answers: bool = False
     """Delta-driven answer maintenance for continuous queries
     (``repro.lazy.answers``): materialise the standing query's snapshot
@@ -257,7 +243,7 @@ class EngineConfig:
                     f"EngineConfig.{name} must be a bool, "
                     f"got {getattr(self, name)!r}"
                 )
-        for name in ("max_invocations", "max_rounds", "max_concurrency", "shards"):
+        for name in ("max_invocations", "max_rounds", "max_concurrency"):
             bound = getattr(self, name)
             if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
                 raise ValueError(
@@ -395,8 +381,6 @@ class EngineConfig:
             parts.append("arena")
         if self.column_match:
             parts.append("colmatch")
-        if self.shards > 1:
-            parts.append(f"shard{self.shards}")
         if self.maintain_answers:
             parts.append("ans")
         return "+".join(parts)

@@ -26,7 +26,6 @@ nothing — so a continuous query is a change-aware wrapper:
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from ..axml.document import Document
@@ -45,46 +44,16 @@ class ContinuousQuery:
     ``repro.subscribe`` (or :meth:`repro.serve.QueryServer.subscribe`),
     which returns a :class:`~repro.serve.Subscription` wrapping one of
     these — with input coercion, a delta stream and admission control
-    on top.  Constructing a ``ContinuousQuery`` directly from an
-    evaluator stays supported; the old keyword form taking
-    ``services=``/``config=`` instead of an evaluator is deprecated in
-    favour of ``repro.subscribe``.
+    on top.
     """
 
     def __init__(
         self,
-        evaluator: Optional[LazyQueryEvaluator] = None,
-        query: Optional[TreePattern] = None,
-        document: Optional[Document] = None,
+        evaluator: LazyQueryEvaluator,
+        query: TreePattern,
+        document: Document,
         eager: bool = True,
-        *,
-        services=None,
-        config=None,
     ) -> None:
-        if services is not None or (evaluator is None and config is not None):
-            # The pre-serving keyword form built the engine inline.
-            # ``repro.subscribe`` is the one front door for that now —
-            # it coerces inputs, streams deltas and shares the bus.
-            if evaluator is not None:
-                raise ValueError(
-                    "pass either an evaluator or services=/config=, "
-                    "not both"
-                )
-            warnings.warn(
-                "ContinuousQuery(query, document, services=..., "
-                "config=...) is deprecated; use repro.subscribe(query, "
-                "document, services=..., config=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            from ..services.registry import bus_of
-
-            evaluator = LazyQueryEvaluator(bus_of(services), config=config)
-        if evaluator is None or query is None or document is None:
-            raise TypeError(
-                "ContinuousQuery requires an evaluator, a query and a "
-                "document (or the deprecated services=/config= form)"
-            )
         self.evaluator = evaluator
         self.query = query
         self.document = document

@@ -49,7 +49,6 @@ from ..obs.trace import (
 from ..schema import automata
 from ..pattern.match import Matcher, MatchCounter, MatchOptions, MatchSet
 from ..pattern.multimatch import PatternGroup
-from ..pattern.shards import ShardedPatternGroup
 from ..pattern.nodes import EdgeKind, PatternNode
 from ..pattern.pattern import TreePattern
 from ..schema.graphschema import LenientSatisfiability
@@ -67,11 +66,7 @@ from .layers import Layer, compute_layers
 from .metrics import Metrics, RoundRecord
 from .naive import naive_fixpoint
 from .pushing import BindingsOverlay, PushedSubquery, pushed_subquery_for
-from .relevance import (
-    NFQBuilder,
-    RelevanceQuery,
-    linear_path_queries,
-)
+from .relevance import NFQBuilder, RelevanceQuery, build_relevance_family
 
 
 class EvaluationOutcome:
@@ -318,7 +313,7 @@ class _EvaluationState:
             # sources + descendant steps) when incremental mode did not
             # already build one.
             self._shared_index = LabelIndex(document, arena=self.arena)
-        self._group: "Optional[PatternGroup | ShardedPatternGroup]" = None
+        self._group: Optional[PatternGroup] = None
         self._group_key: Optional[tuple] = None
         self._matchers: dict[int, Matcher] = {}
         self._nodes_by_uid = {n.uid: n for n in query.nodes()}
@@ -477,24 +472,16 @@ class _EvaluationState:
     # -- relevance-query management ---------------------------------------------------
 
     def _build_relevance_queries(self) -> list[RelevanceQuery]:
-        config = self.config
-        if config.strategy in (Strategy.TOP_DOWN, Strategy.LAZY_LPQ):
-            return linear_path_queries(self.query)
         oracle = self._make_oracle()
         names = None
         if oracle is not None:
             names = set(self.bus.registry.names())
             names.update(call.label for call in self.document.function_nodes())
             names.update(self._schema.function_names())
-        self._builder = NFQBuilder(
-            self.query,
-            oracle=oracle,
-            function_names=names,
-            drop_value_joins=config.drop_value_joins,
+        queries, self._builder = build_relevance_family(
+            self.query, self.config, oracle=oracle, function_names=names
         )
-        return self._builder.build_all(
-            dedupe=config.dedupe_relevance_queries
-        )
+        return queries
 
     def _make_oracle(self) -> Optional[SatisfiabilityOracle]:
         if self.config.typing is TypingMode.NONE:
@@ -730,8 +717,6 @@ class _EvaluationState:
             self.metrics.group_passes += 1
             self.metrics.group_pass_nodes_visited += result.nodes_visited
             self.metrics.projection_skipped_subtrees += result.skipped_subtrees
-            self.metrics.shard_passes += getattr(result, "shard_passes", 0)
-            self.metrics.shard_merge_rows += getattr(result, "merge_rows", 0)
             for rquery in fresh:
                 calls = result.match_sets[rquery.target_uid].distinct_nodes()
                 if self.rcache is not None:
@@ -779,46 +764,25 @@ class _EvaluationState:
                         counter.column_fallbacks - before[2]
                     )
 
-    def _group_for(
-        self, queries: list[RelevanceQuery]
-    ) -> "PatternGroup | ShardedPatternGroup":
+    def _group_for(self, queries: list[RelevanceQuery]) -> PatternGroup:
         """One compiled group per query family, reused across rounds.
 
         Keyed by the family's (target, pattern-identity) tuples, so a
         query rebuild (layer simplification, refinement, new names)
         compiles a fresh group — same pinning rule as per-query
-        matchers.  ``shards > 1`` compiles the sharded wrapper instead:
-        one scoped scan per depth-1 partition, merged deterministically
-        (it stands down by itself when the family is not shardable)."""
+        matchers."""
         key = tuple((q.target_uid, id(q.pattern)) for q in queries)
         if self._group is None or self._group_key != key:
-            members = {q.target_uid: q.pattern for q in queries}
             index = self.index if self.index is not None else self._shared_index
-            if self.config.shards > 1:
-                self._group = ShardedPatternGroup(
-                    members,
-                    shards=self.config.shards,
-                    options=self.evaluator.match_options,
-                    counter=self.match_counter,
-                    index=index,
-                    call_source=self.fguide,
-                    arena=self.arena,
-                    column_match=self.config.column_match,
-                    scheduler=SchedulerPolicy(
-                        max_concurrency=self.config.shards,
-                        use_threads=self.config.use_threads,
-                    ),
-                )
-            else:
-                self._group = PatternGroup(
-                    members,
-                    options=self.evaluator.match_options,
-                    counter=self.match_counter,
-                    index=index,
-                    call_source=self.fguide,
-                    arena=self.arena,
-                    column_match=self.config.column_match,
-                )
+            self._group = PatternGroup(
+                {q.target_uid: q.pattern for q in queries},
+                options=self.evaluator.match_options,
+                counter=self.match_counter,
+                index=index,
+                call_source=self.fguide,
+                arena=self.arena,
+                column_match=self.config.column_match,
+            )
             self._group_key = key
         return self._group
 
@@ -981,7 +945,11 @@ class _EvaluationState:
             if policy is FaultPolicy.RAISE:
                 assert outcome.fault is not None
                 raise outcome.fault
-            self._resolve_faulted_call(call, policy)
+            # Every tolerant policy freezes the call: the document keeps
+            # the intensional node, the relevance loop stops retrieving
+            # it, and nothing is lost.
+            call.activation = Activation.FROZEN
+            metrics.calls_frozen += 1
             if outcome.attempts == 0:
                 # Pure breaker short-circuit (or a coalesced duplicate of
                 # a faulted call): nothing was shipped, so no invocation
@@ -1016,21 +984,6 @@ class _EvaluationState:
         if outcome.record is not None:
             elapsed += outcome.record.simulated_time_s
         return elapsed
-
-    def _resolve_faulted_call(self, call: Node, policy: FaultPolicy) -> None:
-        """Leave the document in a sound state after a definitive fault.
-
-        ``SKIP`` preserves its legacy (lossy) semantics: the call's
-        subtree is deleted.  Every other tolerant policy freezes the
-        call instead — the document keeps the intensional node, the
-        relevance loop stops retrieving it, and nothing is lost.
-        """
-        if policy is FaultPolicy.SKIP:
-            self.document.replace_call(call, [])
-            self.metrics.calls_skipped += 1
-        else:
-            call.activation = Activation.FROZEN
-            self.metrics.calls_frozen += 1
 
     def _check_io(self, errors: list[str]) -> None:
         """Handle parameter/output type violations per the fault policy."""

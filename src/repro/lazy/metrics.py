@@ -57,8 +57,6 @@ class Metrics:
     service (nothing shipped, nothing logged)."""
     calls_frozen: int = 0
     """Calls left intensional (``Activation.FROZEN``) after a fault."""
-    calls_skipped: int = 0
-    """Calls whose subtree the legacy SKIP policy deleted."""
     io_violations: int = 0
     batch_count: int = 0
     """Rounds dispatched through the concurrent batch scheduler."""
@@ -117,12 +115,6 @@ class Metrics:
     """Evaluations where the column matcher stood down and the object
     walk answered instead (no compiled plan, bindings overlay, root or
     scope not mirrored in the arena)."""
-    shard_passes: int = 0
-    """Scoped shard scans dispatched by shard-parallel group passes
-    (``shards > 1``; 0 when sharding stood down)."""
-    shard_merge_rows: int = 0
-    """Rows in the deterministically merged per-member answers of the
-    sharded passes (after composition dedup)."""
     maintained_rows: int = 0
     """Result rows served from the maintained answer at final match —
     without a full re-match of the document (answer maintenance)."""
@@ -176,7 +168,7 @@ class Metrics:
             text += (
                 f" faults={self.faults} retries={self.retries} "
                 f"backoff={self.backoff_s:.3f}s "
-                f"frozen={self.calls_frozen} skipped={self.calls_skipped} "
+                f"frozen={self.calls_frozen} "
                 f"breaker-trips={self.breaker_trips}"
                 f"/{self.breaker_short_circuits}"
             )
@@ -209,11 +201,6 @@ class Metrics:
                 f" col-nodes={self.column_pass_nodes} "
                 f"col-rows={self.column_rows} "
                 f"col-fallbacks={self.column_fallbacks}"
-            )
-        if self.shard_passes:
-            text += (
-                f" shard-passes={self.shard_passes} "
-                f"shard-rows={self.shard_merge_rows}"
             )
         if (
             self.maintained_rows

@@ -41,6 +41,7 @@ from ..pattern.nodes import (
 )
 from ..pattern.pattern import LinearStep, TreePattern
 from ..schema.satisfiability import AlwaysSatisfiable, SatisfiabilityOracle
+from .config import EngineConfig, Strategy
 
 
 class RelevanceKind(enum.Enum):
@@ -346,6 +347,38 @@ class NFQBuilder:
 
         function_branch = pfunc(sorted(names) if names is not None else None)
         return por(data_branch, function_branch, edge=node.edge)
+
+
+def build_relevance_family(
+    query: TreePattern,
+    config: EngineConfig,
+    oracle: Optional[SatisfiabilityOracle] = None,
+    function_names: Optional[Iterable[str]] = None,
+) -> tuple[list[RelevanceQuery], Optional[NFQBuilder]]:
+    """The round-1 relevance family of ``config.strategy`` for ``query``.
+
+    The one strategy-to-builder dispatch: the engine builds its family
+    here, and the serving layer's quiet-round certificate
+    (``repro.serve.relevance_family``) is sound only because it builds
+    the very same family.  ``NAIVE`` yields ``[]`` (its criterion is
+    "any live call", checked without patterns); ``TOP_DOWN`` and
+    ``LAZY_LPQ`` yield the linear path queries; the NFQ strategies use
+    an :class:`NFQBuilder` refined by ``oracle`` over
+    ``function_names``.  The builder is returned alongside (``None``
+    for the pattern-free and LPQ families) so layer rebuilds can
+    simplify the NFQs later.
+    """
+    if config.strategy is Strategy.NAIVE:
+        return [], None
+    if config.strategy in (Strategy.TOP_DOWN, Strategy.LAZY_LPQ):
+        return linear_path_queries(query), None
+    builder = NFQBuilder(
+        query,
+        oracle=oracle,
+        function_names=function_names,
+        drop_value_joins=config.drop_value_joins,
+    )
+    return builder.build_all(dedupe=config.dedupe_relevance_queries), builder
 
 
 def build_nfqs(

@@ -23,8 +23,8 @@ world does not answer:
   projection passes stand down on.  Leaf wildcards (the ubiquitous
   ``$x`` result leaves) are fully supported.
 
-Runtime stand-downs (an unmirrored evaluation root, scope children
-without slots, a ``BindingsOverlay``) are the caller's job —
+Runtime stand-downs (an unmirrored evaluation root, a scope child
+without a slot, a ``BindingsOverlay``) are the caller's job —
 :meth:`repro.pattern.match.Matcher.evaluate_at` falls back to the
 object walk and counts a ``column_fallback``.
 
@@ -41,7 +41,7 @@ strings once per recorded row.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..axml.arena import (
     ANY_DATA,
@@ -186,12 +186,12 @@ class ColumnMatcher:
     def run(
         self,
         root_slot: int,
-        scope_slots: Optional[Sequence[int]] = None,
+        scope_slot: Optional[int] = None,
     ) -> list[SlotRow]:
         """All rows of the pattern anchored at ``root_slot``.
 
-        ``scope_slots`` restricts the walk below the anchor to those
-        direct children (the ``evaluate_scoped`` contract).  Rows are
+        ``scope_slot`` restricts the walk below the anchor to that one
+        direct child (the ``evaluate_scoped`` contract).  Rows are
         deduplicated by result-slot identity with first-witness
         bindings, exactly like ``Matcher._record_row``.
         """
@@ -203,10 +203,8 @@ class ColumnMatcher:
         self._next_sibling = arena.next_sibling
         self._node_ids = arena.node_id
         self._descend = self.options.descend_into_parameters
-        self._scope_root = -1 if scope_slots is None else root_slot
-        self._scope_children = (
-            None if scope_slots is None else list(scope_slots)
-        )
+        self._scope_root = -1 if scope_slot is None else root_slot
+        self._scope_child = -1 if scope_slot is None else scope_slot
         self._can_memo: dict[tuple[int, int], bool] = {}
         self._below_memo: dict[tuple[int, int], bool] = {}
         self._param_memo: dict[int, bool] = {}
@@ -303,9 +301,7 @@ class ColumnMatcher:
         Always a fresh list — callers use it as a mutable DFS stack.
         """
         if slot == self._scope_root:
-            children = self._scope_children
-            assert children is not None
-            return list(children)
+            return [self._scope_child]
         out: list[int] = []
         ns = self._next_sibling
         c = self._first_child[slot]
@@ -420,8 +416,7 @@ class ColumnMatcher:
             out = []
             visited = 0
             if slot == self._scope_root:
-                children = self._scope_children
-                assert children is not None
+                children = (self._scope_child,)
             else:
                 # Walk the sibling chain inline — no intermediate list.
                 children = None
@@ -450,7 +445,7 @@ class ColumnMatcher:
         if (
             want_ids is not None
             and want_kind != ANY_DATA
-            and self._scope_children is None
+            and self._scope_root == -1
             and self._parent[slot] == -1
         ):
             # Anchored at the arena's own root with a concrete label

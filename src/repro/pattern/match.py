@@ -69,17 +69,9 @@ class MatchOptions:
             not as document content, so the default is ``False`` (the
             function node itself is still visible, which is what the
             relevance queries need).
-        use_label_index: whether descendant-step candidate enumeration
-            may consult a :class:`~repro.axml.index.LabelIndex` (when
-            the matcher was given one) instead of walking the whole
-            subtree.  On by default; turning it off keeps the
-            exhaustive walk as the oracle path, with the index still
-            attached — which is how the differential tests compare the
-            two.
     """
 
     descend_into_parameters: bool = False
-    use_label_index: bool = True
 
 
 class MatchCounter:
@@ -271,13 +263,10 @@ class Matcher:
         self._compute_needs_enum(pattern.root)
         self._can_memo: dict[tuple[int, int], bool] = {}
         self._below_memo: dict[tuple[int, int], bool] = {}
-        #: When set to ``(root, children, id-set)``, the walk below
-        #: ``root`` is restricted to the depth-1 subtrees under
-        #: ``children`` (one for answer maintenance, a contiguous range
-        #: for shard passes).
-        self._scope: Optional[
-            tuple[Node, tuple[Node, ...], frozenset[int]]
-        ] = None
+        #: When set to ``(root, child)``, the walk below ``root`` is
+        #: restricted to the depth-1 subtree under ``child`` (answer
+        #: maintenance's dirty-scope re-match).
+        self._scope: Optional[tuple[Node, Node]] = None
 
     # -- public API --------------------------------------------------------
 
@@ -311,22 +300,14 @@ class Matcher:
         if column is not None and arena is not None:
             root_slot = arena.slot_for(root)
             scope = self._scope
-            scope_slots: Optional[list[int]] = None
+            scope_slot: Optional[int] = None
             usable = root_slot is not None
             if usable and scope is not None:
-                if scope[0] is not root:
-                    usable = False
-                else:
-                    scope_slots = []
-                    for child in scope[1]:
-                        child_slot = arena.slot_for(child)
-                        if child_slot is None:
-                            usable = False
-                            break
-                        scope_slots.append(child_slot)
+                scope_slot = arena.slot_for(scope[1])
+                usable = scope[0] is root and scope_slot is not None
             if usable:
                 assert root_slot is not None
-                slot_rows = column.run(root_slot, scope_slots)
+                slot_rows = column.run(root_slot, scope_slot)
         if slot_rows is None:
             self.counter.column_fallbacks += 1
             return None
@@ -338,36 +319,21 @@ class Matcher:
             for slots, bindings in slot_rows
         ]
 
-    def evaluate_scoped(
-        self, document: Document, scope: "Node | Sequence[Node]"
-    ) -> MatchSet:
-        """Snapshot result restricted to a set of depth-1 subtrees.
+    def evaluate_scoped(self, document: Document, scope: Node) -> MatchSet:
+        """Snapshot result restricted to one depth-1 subtree.
 
         The pattern root still maps to the document root, but below the
         root the walk may only enter ``scope`` — one direct child of
-        the root, or a sequence of them (a shard of the root's child
-        range; see ``repro.pattern.shards``).  When the pattern root
-        has exactly one child, every embedding's non-root images are
-        confined to a single depth-1 subtree, so the full snapshot
-        result is exactly the composition (:meth:`MatchSet.compose`)
-        of the scoped results over any partition of the root children —
-        the invariant the answer-maintenance layer
-        (``repro.lazy.answers``) splices over and the shard-parallel
-        group pass merges by.
+        the root.  When the pattern root has exactly one child, every
+        embedding's non-root images are confined to a single depth-1
+        subtree, so the full snapshot result is exactly the composition
+        (:meth:`MatchSet.compose`) of the scoped results over the root
+        children — the invariant the answer-maintenance layer
+        (``repro.lazy.answers``) splices over.
         """
-        children = (scope,) if isinstance(scope, Node) else tuple(scope)
-        if not children:
-            raise ValueError("scope must name at least one root child")
-        for child in children:
-            if child.parent is not document.root:
-                raise ValueError(
-                    "scope must be a direct child of the document root"
-                )
-        self._scope = (
-            document.root,
-            children,
-            frozenset(id(child) for child in children),
-        )
+        if scope.parent is not document.root:
+            raise ValueError("scope must be a direct child of the document root")
+        self._scope = (document.root, scope)
         try:
             return self.evaluate_at(document.root)
         finally:
@@ -459,11 +425,11 @@ class Matcher:
 
         Everywhere the matcher steps from a node to its children it
         must go through this hook, so :meth:`evaluate_scoped` can
-        narrow the scoped root to its depth-1 subtree range.
+        narrow the scoped root to its one depth-1 subtree.
         """
         scope = self._scope
         if scope is not None and dnode is scope[0]:
-            return scope[1]
+            return (scope[1],)
         return dnode.children
 
     def _record_row(
@@ -579,11 +545,7 @@ class Matcher:
             if scanned is not None:
                 memo[key] = scanned
                 return scanned
-        if (
-            self.index is not None
-            and self.options.use_label_index
-            and self.index.document.contains(dnode)
-        ):
+        if self.index is not None and self.index.document.contains(dnode):
             indexed = self._exists_below_indexed(pnode, dnode)
             if indexed is not None:
                 memo[key] = indexed
@@ -796,7 +758,6 @@ class Matcher:
         if (
             pnode is not None
             and self.index is not None
-            and self.options.use_label_index
             and self.index.document.contains(dnode)
         ):
             indexed = self._index_candidates(pnode, dnode)
@@ -881,13 +842,7 @@ class Matcher:
         ancestor = node.parent
         while ancestor is not None:
             if ancestor is dnode:
-                if (
-                    scope is not None
-                    and ancestor is scope[0]
-                    and id(prev) not in scope[2]
-                ):
-                    return False
-                return True
+                return scope is None or ancestor is not scope[0] or prev is scope[1]
             if ancestor.is_function and not descend:
                 return False
             prev = ancestor

@@ -502,41 +502,14 @@ class PatternGroup:
         self,
         document: Document,
         keys: Optional[Sequence[Hashable]] = None,
-        scope: "Optional[Node | Sequence[Node]]" = None,
     ) -> GroupPassResult:
         """Evaluate the selected members (default: all) in one pass.
 
         One projection set and one family of memo tables serve every
         selected member; the tables are cleared first, so the pass is
         correct on whatever state the document is in now.
-
-        ``scope`` (one direct child of the document root, or a sequence
-        of them — a shard's contiguous range) restricts the whole pass
-        to those depth-1 subtrees, mirroring
-        :meth:`~repro.pattern.match.Matcher.evaluate_scoped` — every
-        member and every shared memo sees the same scope, and the
-        tables are cleared afterwards so no scoped fact leaks into a
-        later unscoped pass.
         """
         selected = list(self._members) if keys is None else list(keys)
-        scope_triple = None
-        if scope is not None:
-            children = (
-                (scope,) if isinstance(scope, Node) else tuple(scope)
-            )
-            if not children:
-                raise ValueError("scope must name at least one child")
-            for child in children:
-                if child.parent is not document.root:
-                    raise ValueError(
-                        "scope members must be direct children of the "
-                        "document root"
-                    )
-            scope_triple = (
-                document.root,
-                children,
-                frozenset(id(child) for child in children),
-            )
         self._can_memo.clear()
         self._below_memo.clear()
         self._cond_memo.clear()
@@ -560,24 +533,12 @@ class PatternGroup:
         else:
             self._projected = self._compute_projection(document, selected)
         try:
-            for member in self._members.values():
-                member._scope = scope_triple
             match_sets = {
                 key: self._members[key].evaluate(document) for key in selected
             }
         finally:
             projected = self._projected
             self._projected = None
-            for member in self._members.values():
-                member._scope = None
-            if scope_triple is not None:
-                # Scoped boolean facts must not survive into an
-                # unscoped (or differently scoped) pass.
-                self._can_memo.clear()
-                self._below_memo.clear()
-                self._cond_memo.clear()
-                self._shared_can_memo.clear()
-                self._cand_memo.clear()
         return GroupPassResult(
             match_sets=match_sets,
             nodes_visited=self._nodes_visited,

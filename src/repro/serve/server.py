@@ -55,10 +55,10 @@ from ..axml.document import Document
 from ..axml.index import LabelIndex
 from ..axml.node import Activation, Node
 from ..axml.xmlio import parse_document
-from ..lazy.config import EngineConfig, Strategy, TypingMode
+from ..lazy.config import EngineConfig, TypingMode
 from ..lazy.continuous import ContinuousQuery
 from ..lazy.engine import EvaluationOutcome, LazyQueryEvaluator
-from ..lazy.relevance import NFQBuilder, RelevanceQuery, linear_path_queries
+from ..lazy.relevance import RelevanceQuery, build_relevance_family
 from ..obs.trace import SERVE_REFRESH, SERVE_ROUND, tracer_for
 from ..pattern.multimatch import PatternGroup
 from ..pattern.parse import parse_pattern
@@ -248,14 +248,14 @@ def relevance_family(
     ``NAIVE`` strategy returns ``[]`` — its relevance criterion is
     "any live call", checked without patterns.
 
-    The construction mirrors
-    ``repro.lazy.engine._EvaluationState._build_relevance_queries``
-    exactly (same builder, same flags), because soundness of the served
-    shortcut rests on this family *containing* every query the engine
-    would evaluate: layer rebuilds only simplify (drop function
-    alternatives of completed targets), so each rebuilt query retrieves
-    a subset of its initial counterpart — if the initial family
-    retrieves nothing eligible, every engine layer goes quiet.
+    The family comes from the engine's own builder
+    (:func:`repro.lazy.relevance.build_relevance_family`), because
+    soundness of the served shortcut rests on this family *containing*
+    every query the engine would evaluate: layer rebuilds only simplify
+    (drop function alternatives of completed targets), so each rebuilt
+    query retrieves a subset of its initial counterpart — if the
+    initial family retrieves nothing eligible, every engine layer goes
+    quiet.
     """
     if not config.maintain_answers:
         return None
@@ -263,19 +263,7 @@ def relevance_family(
         return None
     if config.push_mode is PushMode.BINDINGS:
         return None
-    if config.strategy is Strategy.NAIVE:
-        return []
-    if config.strategy in (Strategy.TOP_DOWN, Strategy.LAZY_LPQ):
-        return linear_path_queries(query)
-    if config.strategy is Strategy.LAZY_NFQ:
-        builder = NFQBuilder(
-            query,
-            oracle=None,
-            function_names=None,
-            drop_value_joins=config.drop_value_joins,
-        )
-        return builder.build_all(dedupe=config.dedupe_relevance_queries)
-    return None
+    return build_relevance_family(query, config)[0]
 
 
 class _DocumentGroup:

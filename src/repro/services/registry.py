@@ -8,15 +8,14 @@ accounts for every byte and simulated second on an
 The one entry point is :meth:`ServiceBus.invoke`, taking a
 :class:`ServiceCall` descriptor plus a keyword-only
 :class:`~repro.services.resilience.InvocationPolicy` and an optional
-tracer; the pre-1.1 ``invoke(service_name, parameters, ...)`` and
-``invoke_resilient(...)`` spellings survive as thin deprecation shims.
+tracer.  :meth:`ServiceBus.invoke_batch` dispatches one round of
+independent calls through the same per-call machinery.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import warnings
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ..axml.node import Node
@@ -43,7 +42,6 @@ from .resilience import (
     CircuitOpenFault,
     InvocationPolicy,
     ResilientOutcome,
-    RetryPolicy,
 )
 from .scheduler import (
     BatchOutcome,
@@ -265,11 +263,10 @@ class ServiceBus:
 
     def invoke(
         self,
-        call: Union[ServiceCall, str],
-        *legacy_args,
+        call: ServiceCall,
+        *,
         policy: Optional[InvocationPolicy] = None,
         trace: Optional[AnyTracer] = None,
-        **legacy_kwargs,
     ) -> ResilientOutcome:
         """Invoke one :class:`ServiceCall` under an invocation policy.
 
@@ -283,69 +280,9 @@ class ServiceBus:
         raise: that is a caller bug, not a remote fault.)  ``trace``
         is an optional :class:`repro.obs.Tracer`: every attempt,
         fault, backoff wait and breaker transition becomes a span
-        event on the caller's current span.
-
-        The pre-1.1 form ``invoke(service_name, parameters, ...)`` —
-        one attempt, (reply, record) on success, fault raised — is
-        deprecated but still honoured when the first argument is a
-        string.
+        event on the caller's current span.  The call cache, when
+        attached, is consulted first.
         """
-        if isinstance(call, str):
-            warnings.warn(
-                "ServiceBus.invoke(service_name, parameters, ...) is "
-                "deprecated; pass a ServiceCall and read the returned "
-                "ResilientOutcome instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self._attempt(call, *legacy_args, **legacy_kwargs)
-        if legacy_args or legacy_kwargs:
-            raise TypeError(
-                "ServiceBus.invoke(call) accepts only keyword arguments "
-                f"'policy' and 'trace'; got extra {legacy_args or legacy_kwargs!r}"
-            )
-        return self._invoke(call, policy=policy, trace=trace)
-
-    def invoke_resilient(
-        self,
-        service_name: str,
-        parameters: Sequence[Node],
-        call_node_id: Optional[int] = None,
-        pushed: Optional[TreePattern] = None,
-        push_mode: PushMode = PushMode.NONE,
-        anchor_edge: EdgeKind = EdgeKind.CHILD,
-        retry: Optional[RetryPolicy] = None,
-        breaker_policy: Optional[CircuitBreakerPolicy] = None,
-    ) -> ResilientOutcome:
-        """Deprecated alias for :meth:`invoke` with a :class:`ServiceCall`."""
-        warnings.warn(
-            "ServiceBus.invoke_resilient is deprecated; use "
-            "ServiceBus.invoke(ServiceCall(...), policy=InvocationPolicy(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._invoke(
-            ServiceCall(
-                service=service_name,
-                parameters=parameters,
-                call_node_id=call_node_id,
-                pushed=pushed,
-                push_mode=push_mode,
-                anchor_edge=anchor_edge,
-            ),
-            policy=InvocationPolicy(
-                retry=retry or RetryPolicy(), breaker=breaker_policy
-            ),
-            trace=None,
-        )
-
-    def _invoke(
-        self,
-        call: ServiceCall,
-        policy: Optional[InvocationPolicy],
-        trace: Optional[AnyTracer],
-    ) -> ResilientOutcome:
-        """One resilient invocation, consulting the call cache if attached."""
         policy = policy or InvocationPolicy()
         tracer = tracer_for(trace, sim_clock=lambda: self.clock_s)
         key: Optional[str] = None
@@ -404,16 +341,7 @@ class ServiceBus:
             outcome.attempts += 1
             tracer.event(EVENT_ATTEMPT, attempt=attempt, service=call.service)
             try:
-                reply, record = self._attempt(
-                    call.service,
-                    call.parameters,
-                    call_node_id=call.call_node_id,
-                    pushed=call.pushed,
-                    push_mode=call.push_mode,
-                    anchor_edge=call.anchor_edge,
-                    attempt=attempt,
-                    timeout_s=retry.timeout_s,
-                )
+                reply, record = self._attempt(call, attempt, retry.timeout_s)
             except ServiceFault as fault:
                 outcome.faults += 1
                 outcome.fault = fault
@@ -487,7 +415,7 @@ class ServiceBus:
                         service=call.service,
                         call_uid=call.call_node_id,
                     ) as span:
-                        outcome = self._invoke(call, policy=policy, trace=tracer)
+                        outcome = self.invoke(call, policy=policy, trace=tracer)
                         if span is not None and outcome.fault is not None:
                             span.tags.setdefault(
                                 "fault_kind",
@@ -762,26 +690,10 @@ class ServiceBus:
             self.clock_s = base + run.duration_s
 
     def _attempt(
-        self,
-        service_name: str,
-        parameters: Sequence[Node],
-        call_node_id: Optional[int] = None,
-        pushed: Optional[TreePattern] = None,
-        push_mode: PushMode = PushMode.NONE,
-        anchor_edge: EdgeKind = EdgeKind.CHILD,
-        attempt: int = 1,
-        timeout_s: Optional[float] = None,
+        self, call: ServiceCall, attempt: int, timeout_s: Optional[float]
     ) -> tuple[CallReply, InvocationRecord]:
         """One attempt.  Faults are logged (with the fault flag set and
         their request bytes / simulated time charged) and re-raised."""
-        call = ServiceCall(
-            service=service_name,
-            parameters=parameters,
-            call_node_id=call_node_id,
-            pushed=pushed,
-            push_mode=push_mode,
-            anchor_edge=anchor_edge,
-        )
         raw = self._execute_raw(call, timeout_s)
         record = self._record_raw(call, raw, attempt)
         self.clock_s += record.simulated_time_s

@@ -1,10 +1,10 @@
-"""The arena document store: columns, splices, scans, shards, twins.
+"""The arena document store: columns, splices, scans, twins.
 
 Contract under test: the struct-of-arrays mirror
 (:class:`repro.axml.arena.DocumentArena`) is an *observer* of the
 object tree — never the source of truth — so every column answer
-(descendant scans, projection sets, index buckets, sharded group
-passes) must be indistinguishable from the object walk it replaces,
+(descendant scans, projection sets, index buckets, group passes)
+must be indistinguishable from the object walk it replaces,
 across construction, free-list splices, and whole factory mutation
 traces.  Load-time projection (:func:`project_tree`) must prune only
 provably-cold subtrees and stand down whenever it cannot prove
@@ -32,8 +32,6 @@ from repro.lazy.incremental import LabelFootprint
 from repro.pattern.match import MatchCounter, Matcher, MatchSet, snapshot_result
 from repro.pattern.multimatch import PatternGroup
 from repro.pattern.parse import parse_pattern
-from repro.pattern.shards import ShardedPatternGroup, plan_shards
-from repro.services.scheduler import SchedulerPolicy
 from repro.workloads.factory import REGIMES, fuzz_spec, generate, regime
 
 
@@ -451,114 +449,6 @@ def test_group_pass_rows_match_after_splices():
 
 
 # ---------------------------------------------------------------------------
-# Shard-parallel group passes
-# ---------------------------------------------------------------------------
-
-
-def test_plan_shards_is_contiguous_and_balanced():
-    document = sample_document()
-    children = document.root.children
-    ranges = plan_shards(children, 2)
-    assert [n for r in ranges for n in r] == children
-    sizes = [len(r) for r in ranges]
-    assert max(sizes) - min(sizes) <= 1
-    # More shards than children degrades to singletons, never empties.
-    many = plan_shards(children, 10)
-    assert len(many) == len(children)
-    assert all(len(r) == 1 for r in many)
-    assert plan_shards([], 4) == []
-    with pytest.raises(ValueError):
-        plan_shards(children, 0)
-
-
-@pytest.mark.parametrize("shards", [2, 3, 4, 8])
-def test_sharded_pass_matches_the_serial_pass(shards):
-    document = sample_document()
-    arena = DocumentArena(document)
-    members = {
-        "names": parse_pattern("/root//name/$x"),
-        "calls": parse_pattern("/root//getRestos()"),
-    }
-    serial = PatternGroup(members, arena=arena).evaluate(document)
-    sharded = ShardedPatternGroup(
-        members, shards=shards, arena=arena
-    ).evaluate(document)
-    assert sharded.shard_passes == min(shards, len(document.root.children))
-    for key in members:
-        assert row_keys(sharded.match_sets[key]) == row_keys(
-            serial.match_sets[key]
-        )
-    assert sharded.merge_rows == sum(
-        len(ms) for ms in sharded.match_sets.values()
-    )
-
-
-def test_sharded_pass_is_independent_of_thread_overlap():
-    document = sample_document()
-    members = {"names": parse_pattern("/root//name/$x")}
-    threaded = ShardedPatternGroup(
-        members,
-        shards=3,
-        scheduler=SchedulerPolicy(max_concurrency=3, use_threads=True),
-    ).evaluate(document)
-    serial = ShardedPatternGroup(
-        members,
-        shards=3,
-        scheduler=SchedulerPolicy(max_concurrency=3, use_threads=False),
-    ).evaluate(document)
-    assert row_keys(threaded.match_sets["names"]) == row_keys(
-        serial.match_sets["names"]
-    )
-    assert threaded.shard_passes == serial.shard_passes
-
-
-def test_sharding_stands_down_on_multi_child_member_roots():
-    document = sample_document()
-    members = {
-        # Two children under the pattern root: a row can straddle two
-        # depth-1 subtrees, so the composition law does not apply.
-        "pair": parse_pattern("/root[hotel/name/$a][hotel/rating/$b]"),
-    }
-    group = ShardedPatternGroup(members, shards=4)
-    assert not group.shardable(document, ["pair"])
-    result = group.evaluate(document)
-    assert result.shard_passes == 0
-    plain = PatternGroup(members).evaluate(document)
-    assert row_keys(result.match_sets["pair"]) == row_keys(
-        plain.match_sets["pair"]
-    )
-
-
-def test_sharding_stands_down_on_a_single_subtree_root():
-    document = build_document(E("root", E("only", E("name", V("x")))))
-    members = {"q": parse_pattern("/root//name/$x")}
-    result = ShardedPatternGroup(members, shards=4).evaluate(document)
-    assert result.shard_passes == 0
-    assert len(result.match_sets["q"]) == 1
-
-
-def test_sharded_group_membership_tracks_extend_and_discard():
-    members = {"a": parse_pattern("/root//name/$x")}
-    group = ShardedPatternGroup(members, shards=2)
-    group.extend({"b": parse_pattern("/root//rating/$r")})
-    assert len(group) == 2 and "b" in group
-    group.discard(["a"])
-    assert group.keys() == ["b"]
-    document = sample_document()
-    result = group.evaluate(document)
-    assert set(result.match_sets) == {"b"}
-
-
-def test_shard_counters_drain_into_the_shared_counter():
-    document = sample_document()
-    members = {"q": parse_pattern("/root//name/$x")}
-    group = ShardedPatternGroup(members, shards=2)
-    group.evaluate(document)
-    assert group.counter.evaluations > 0
-    assert all(g.counter.evaluations == 0 for g in group._groups)
-
-
-# ---------------------------------------------------------------------------
 # Engine integration: config-level equivalence on factory regimes
 # ---------------------------------------------------------------------------
 
@@ -566,7 +456,7 @@ def test_shard_counters_drain_into_the_shared_counter():
 @pytest.mark.parametrize(
     "name", ["baseline", "deep-recursion", "multi-root-standing"]
 )
-def test_engine_rows_and_logs_match_under_arena_and_shards(name):
+def test_engine_rows_and_logs_match_under_arena(name):
     gen = regime(name)
     query = gen.query_for(0)
     base, base_log = gen.evaluate(query, shared_matching=True)
@@ -574,7 +464,6 @@ def test_engine_rows_and_logs_match_under_arena_and_shards(name):
     for overrides in (
         {"arena": True},
         {"arena": True, "shared_matching": True},
-        {"arena": True, "shared_matching": True, "shards": 4},
     ):
         out, log = gen.evaluate(query, **overrides)
         assert set(out.value_rows()) == reference, overrides
@@ -582,18 +471,11 @@ def test_engine_rows_and_logs_match_under_arena_and_shards(name):
         assert log == base_log, overrides
 
 
-def test_engine_reports_arena_and_shard_metrics():
-    # deep-recursion query 0 has a single-child root over a multi-subtree
-    # document, so the sharded pass actually engages (multi-root-standing
-    # queries defeat sharding by design — covered above).
+def test_engine_reports_arena_metrics():
     gen = regime("deep-recursion")
-    out, _ = gen.evaluate(
-        gen.query_for(0), arena=True, shared_matching=True, shards=4
-    )
+    out, _ = gen.evaluate(gen.query_for(0), arena=True, shared_matching=True)
     assert out.metrics.arena_nodes > 0
     assert out.metrics.arena_bytes > 0
-    assert out.metrics.shard_passes > 0
-    assert out.metrics.shard_merge_rows >= len(out.value_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +583,7 @@ def test_scoped_column_match_pins_to_the_scoped_object_walk(text):
     document = sample_document()
     arena = DocumentArena(document)
     query = parse_pattern(text)
-    for scope in (
-        document.root.children[0],
-        document.root.children[:2],
-        document.root.children,
-    ):
+    for scope in document.root.children:
         counter = MatchCounter()
         plain = Matcher(query, arena=arena).evaluate_scoped(document, scope)
         column = Matcher(
@@ -728,27 +606,6 @@ def test_column_match_survives_splices():
     assert column_row_ids(matcher.evaluate(document)) == column_row_ids(plain)
 
 
-@pytest.mark.parametrize("shards", [2, 4])
-def test_sharded_column_pass_matches_the_serial_walk(shards):
-    """The combined axis: scoped evaluation inside sharded group passes
-    with the column matcher on, against the plain serial walk."""
-    document = sample_document()
-    arena = DocumentArena(document)
-    members = {
-        "names": parse_pattern("/root//name/$x"),
-        "calls": parse_pattern("/root//getRestos()"),
-    }
-    serial = PatternGroup(members).evaluate(document)
-    sharded = ShardedPatternGroup(
-        members, shards=shards, arena=arena, column_match=True
-    ).evaluate(document)
-    assert sharded.shard_passes == min(shards, len(document.root.children))
-    for key in members:
-        assert row_keys(sharded.match_sets[key]) == row_keys(
-            serial.match_sets[key]
-        )
-
-
 def test_engine_rows_and_logs_match_under_column_matching():
     for name in ("baseline", "deep-recursion", "multi-root-standing"):
         gen = regime(name)
@@ -758,12 +615,6 @@ def test_engine_rows_and_logs_match_under_column_matching():
         for overrides in (
             {"arena": True, "column_match": True},
             {"arena": True, "shared_matching": True, "column_match": True},
-            {
-                "arena": True,
-                "shared_matching": True,
-                "shards": 4,
-                "column_match": True,
-            },
         ):
             out, log = gen.evaluate(query, **overrides)
             assert set(out.value_rows()) == reference, (name, overrides)

@@ -231,28 +231,6 @@ def test_eval_tolerant_flag_freezes_instead_of_crashing(workspace, capsys):
     assert "frozen=" in out  # faults surfaced in the summary, not a traceback
 
 
-def test_eval_legacy_skip_faults_flag_still_works(workspace, capsys):
-    code = main(
-        [
-            "eval",
-            "--document",
-            str(workspace / "hotels.xml"),
-            "--services",
-            str(workspace / "services.xml"),
-            "--query",
-            QUERY,
-            "--skip-faults",
-            "--fault-rate",
-            "1.0",
-            "--breaker-threshold",
-            "0",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "skipped=" in out
-
-
 def test_serve_command(workspace, capsys):
     code = main(
         [
@@ -290,21 +268,6 @@ def test_eval_rejects_column_match_without_arena(workspace, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "--column-match" in err and "--arena" in err
-
-
-def test_eval_rejects_shards_without_shared_matching(workspace, capsys):
-    code = main(
-        [
-            "eval",
-            "--document", str(workspace / "hotels.xml"),
-            "--services", str(workspace / "services.xml"),
-            "--query", QUERY,
-            "--shards", "4",
-        ]
-    )
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "--shards" in err and "--shared-matching" in err
 
 
 def test_eval_column_match_with_arena_runs(workspace, capsys):

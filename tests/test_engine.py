@@ -174,7 +174,7 @@ def test_fault_policy_skip_continues():
     engine = LazyQueryEvaluator(
         ServiceBus(registry),
         config=EngineConfig(
-            strategy=Strategy.LAZY_NFQ, fault_policy=FaultPolicy.SKIP
+            strategy=Strategy.LAZY_NFQ, fault_policy=FaultPolicy.FREEZE
         ),
     )
     out = engine.evaluate(parse_pattern("/r/x/$V"), doc)
@@ -266,7 +266,7 @@ def test_validate_io_skip_policy_counts_violations():
         config=EngineConfig(
             strategy=Strategy.NAIVE,
             validate_io=True,
-            fault_policy=FaultPolicy.SKIP,
+            fault_policy=FaultPolicy.FREEZE,
         ),
     )
     outcome = engine.evaluate(parse_pattern("/r/x"), doc)

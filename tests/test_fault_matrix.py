@@ -1,6 +1,6 @@
 """Fault-policy × strategy matrix: every combination behaves.
 
-All five ``Strategy`` values crossed with RAISE/SKIP/FREEZE/RETRY, over
+All five ``Strategy`` values crossed with RAISE/FREEZE/RETRY, over
 a document whose calls fail transiently (``FailingService``) or
 randomly (``FlakyService``).  The headline invariant: under RETRY the
 answer equals the fault-free run for every strategy.
@@ -22,7 +22,7 @@ from repro.services.registry import ServiceBus, ServiceRegistry
 from repro.services.resilience import RetryPolicy
 
 ALL_STRATEGIES = list(Strategy)
-TOLERANT_POLICIES = [FaultPolicy.SKIP, FaultPolicy.FREEZE, FaultPolicy.RETRY]
+TOLERANT_POLICIES = [FaultPolicy.FREEZE, FaultPolicy.RETRY]
 
 QUERY = parse_pattern("/r/x/$V")
 
@@ -128,7 +128,6 @@ def test_freeze_keeps_faulted_calls_intensional(strategy):
     )
     m = out.metrics
     assert m.calls_frozen >= 1
-    assert m.calls_skipped == 0
     # Frozen calls are still in the document, intensional.
     frozen = [
         c for c in out.document.function_nodes() if c.label == "f"

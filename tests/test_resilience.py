@@ -256,32 +256,6 @@ def test_breaker_half_open_probe_recovers_service():
     assert bus.breakers["s"].state is BreakerState.CLOSED
 
 
-def test_deprecated_invoke_resilient_still_works_but_warns():
-    bus = ServiceBus(failing_registry(failures=2))
-    with pytest.warns(DeprecationWarning, match="invoke_resilient"):
-        outcome = bus.invoke_resilient(
-            "f", [], retry=RetryPolicy(max_attempts=3, base_backoff_s=0.5)
-        )
-    assert outcome.succeeded
-    assert outcome.attempts == 3
-    assert outcome.retries == 2 and outcome.faults == 2
-
-
-def test_deprecated_invoke_resilient_breaker_path_warns():
-    flaky = FlakyService(StaticService("s", [E("ok")]), fault_rate=1.0)
-    bus = ServiceBus(ServiceRegistry([flaky]))
-    policy = CircuitBreakerPolicy(failure_threshold=2, reset_after_s=None)
-    with pytest.warns(DeprecationWarning):
-        outcome = bus.invoke_resilient(
-            "s",
-            [],
-            retry=RetryPolicy(max_attempts=5, base_backoff_s=0.01),
-            breaker_policy=policy,
-        )
-    assert not outcome.succeeded
-    assert outcome.breaker_trips == 1 and outcome.short_circuited
-
-
 # -- engine fault policies -----------------------------------------------------
 
 
@@ -317,20 +291,7 @@ def test_freeze_policy_preserves_the_document():
     assert len(frozen) == 1
     assert frozen[0].activation is Activation.FROZEN
     assert out.metrics.calls_frozen == 1
-    assert out.metrics.calls_skipped == 0
     assert out.metrics.completed
-
-
-def test_skip_policy_still_deletes_behind_explicit_opt_in():
-    registry = failing_registry(
-        failures=99, extra=[StaticService("g", [E("x", V("2"))])]
-    )
-    engine = engine_for(registry, fault_policy=FaultPolicy.SKIP)
-    doc = build_document(E("r", C("f"), C("g")))
-    out = engine.evaluate(QUERY, doc)
-    assert out.value_rows() == {("2",)}
-    assert all(c.label != "f" for c in doc.function_nodes())  # lossy!
-    assert out.metrics.calls_skipped == 1
 
 
 def test_retry_exhaustion_freezes_instead_of_deleting():

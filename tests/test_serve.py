@@ -16,8 +16,11 @@ from repro.serve import (
     RefreshStatus,
     TenantPolicy,
     quantile,
+    relevance_family,
 )
+from repro.lazy.engine import _EvaluationState
 from repro.services.registry import ServiceBus, ServiceRegistry, bus_of
+from repro.workloads.factory import regime
 
 
 def resto_service(latency_s=0.05):
@@ -598,25 +601,14 @@ class TestConfigSurface:
 
 
 # ---------------------------------------------------------------------------
-# ContinuousQuery compatibility shim
+# ContinuousQuery construction: one positional form
 # ---------------------------------------------------------------------------
 
 
 class TestContinuousQueryShim:
-    def test_keyword_form_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="repro.subscribe"):
-            cq = ContinuousQuery(
-                query=repro.parse_pattern(RESTOS),
-                document=hotels_doc(),
-                services=[resto_service()],
-                config=EngineConfig.serving(),
-            )
-        assert cq.value_rows() == {("Balthazar",), ("Nobu",)}
-        cq.close()
-
     def test_evaluator_and_services_together_rejected(self):
         engine = LazyQueryEvaluator(bus_of([]))
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="services"):
             ContinuousQuery(
                 engine,
                 repro.parse_pattern(NAMES),
@@ -625,7 +617,7 @@ class TestContinuousQueryShim:
             )
 
     def test_missing_arguments_rejected(self):
-        with pytest.raises(TypeError, match="requires an evaluator"):
+        with pytest.raises(TypeError, match="evaluator"):
             ContinuousQuery(query=repro.parse_pattern(NAMES))
 
 
@@ -684,3 +676,56 @@ class TestServerLifecycle:
         names = [span.name for span in sink.spans]
         assert "serve_round" in names
         assert "serve_refresh" in names
+
+
+# ---------------------------------------------------------------------------
+# Relevance family: the server certifies quiet rounds with the engine's own
+# round-1 family
+# ---------------------------------------------------------------------------
+
+
+class _FamilyBuilt(Exception):
+    """Stops an evaluation as soon as its round-1 family exists."""
+
+
+def _engine_family(gen, query, config, monkeypatch):
+    built = []
+    build = _EvaluationState._build_relevance_queries
+
+    def capture(state):
+        built.extend(build(state))
+        raise _FamilyBuilt
+
+    monkeypatch.setattr(_EvaluationState, "_build_relevance_queries", capture)
+    engine = LazyQueryEvaluator(gen.make_bus(), config=config)
+    with pytest.raises(_FamilyBuilt):
+        engine.evaluate(query, gen.make_document(0))
+    monkeypatch.undo()
+    return built
+
+
+def _family_signature(family):
+    return [(rq.target_uid, rq.pattern.to_string()) for rq in family]
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [Strategy.LAZY_NFQ, Strategy.LAZY_LPQ, Strategy.TOP_DOWN],
+    ids=lambda s: s.value,
+)
+@pytest.mark.parametrize(
+    "name", ["baseline", "bursty-tenants", "multi-root-standing"]
+)
+def test_served_family_is_the_engines_round_one_family(
+    name, strategy, monkeypatch
+):
+    gen = regime(name)
+    config = EngineConfig.serving(strategy=strategy)
+    for query in gen.queries():
+        served = relevance_family(query, config)
+        engine = _engine_family(gen, query, config, monkeypatch)
+        assert served, (name, query.to_string())
+        assert _family_signature(served) == _family_signature(engine), (
+            name,
+            query.to_string(),
+        )

@@ -202,9 +202,7 @@ def test_retry_policy_emits_attempt_backoff_and_fault_events():
     assert verify_nesting(root) == []
 
 
-@pytest.mark.parametrize(
-    "policy", [FaultPolicy.FREEZE, FaultPolicy.SKIP], ids=lambda p: p.value
-)
+@pytest.mark.parametrize("policy", [FaultPolicy.FREEZE], ids=lambda p: p.value)
 def test_single_attempt_policies_record_the_fault(policy):
     outcome, sink = traced_evaluate(
         transient_registry(failures=2),
@@ -222,10 +220,7 @@ def test_single_attempt_policies_record_the_fault(policy):
     assert names.count(EVENT_FAULT) == 1
     assert EVENT_BACKOFF not in names
     assert f_span.tags["fault_kind"] == "ServiceFault"
-    if policy is FaultPolicy.FREEZE:
-        assert outcome.metrics.calls_frozen >= 1
-    else:
-        assert outcome.metrics.calls_skipped >= 1
+    assert outcome.metrics.calls_frozen >= 1
     assert verify_nesting(root) == []
 
 
